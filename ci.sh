@@ -67,11 +67,16 @@
 #                                itself) and then must flag an injected 10x
 #                                serial regression — both the zero-delta and
 #                                the gate-trips paths are exercised
-#  16. short fuzz pass           45s total over the scopeql parser/binder
+#  16. benchmark module          go vet and go test inside perfbench/, its own
+#                                Go module (root ./... never reaches it), run
+#                                offline against this checkout, so an API
+#                                change the benchmark compiles against fails
+#                                here rather than in the next benchmark run
+#  17. short fuzz pass           45s total over the scopeql parser/binder
 #                                (including the parse-print-parse round trip)
 #                                and the bundle decoder
 #
-# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
+# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 17 (e.g. on very slow machines).
 set -eu
 
 echo "== build =="
@@ -269,6 +274,10 @@ if go run ./cmd/steerq-bench -compare /tmp/steerq-perf-old.$$.json \
     exit 1
 fi
 rm -f /tmp/steerq-perf.$$.json /tmp/steerq-perf-old.$$.json
+
+echo "== benchmark module (perfbench vet + test, offline) =="
+(cd perfbench && export GOPROXY=off GOFLAGS=-mod=mod GOWORK=off &&
+    go vet ./... && go test ./...)
 
 if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     echo "== fuzz (short) =="

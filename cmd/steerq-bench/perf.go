@@ -79,16 +79,18 @@ type perfCompile struct {
 	Iterations       int    `json:"iterations"`
 }
 
-// perfBaseline pins the serial-leg numbers this PR was measured against and
-// the reductions achieved, so the report is self-describing.
+// perfBaseline pins the serial-leg numbers the report is measured against
+// and the reductions achieved, so the report is self-describing. The alloc
+// and byte reductions are nil when the run did not count allocations
+// (-perf-quick).
 type perfBaseline struct {
-	Source            string  `json:"source"`
-	NsPerOp           int64   `json:"ns_per_op"`
-	AllocsPerOp       int64   `json:"allocs_per_op"`
-	BytesPerOp        int64   `json:"bytes_per_op"`
-	NsReductionPct    float64 `json:"ns_reduction_pct"`
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-	BytesReductionPct float64 `json:"bytes_reduction_pct"`
+	Source            string   `json:"source"`
+	NsPerOp           int64    `json:"ns_per_op"`
+	AllocsPerOp       int64    `json:"allocs_per_op"`
+	BytesPerOp        int64    `json:"bytes_per_op"`
+	NsReductionPct    float64  `json:"ns_reduction_pct"`
+	AllocReductionPct *float64 `json:"alloc_reduction_pct,omitempty"`
+	BytesReductionPct *float64 `json:"bytes_reduction_pct,omitempty"`
 }
 
 // prBaseline is the serial pipeline leg recorded by PR 2's
@@ -111,18 +113,16 @@ type perfCache struct {
 	// consulted.
 	Projected     uint64  `json:"projected_hits"`
 	ProjectedRate float64 `json:"projected_hit_rate"`
-	Evictions     uint64  `json:"evictions"`
 }
 
-// perfFootprint reports how far footprint memoization collapsed the
-// candidate stage on a cold cache: of Candidates generated configurations
-// only Compiled went through the optimizer; the rest shared an equivalence
-// class representative's outcome.
+// perfFootprint reports how far the compile cache's footprint projection
+// collapsed the candidate stage on a cold cache: of Candidates generated
+// configurations only Compiled went through the optimizer; the rest hit a
+// cache entry written earlier in the pass (in practice by the job's own
+// span probes).
 type perfFootprint struct {
 	Candidates  int     `json:"candidates"`
-	Classes     int     `json:"classes"`
 	Compiled    int     `json:"compiled"`
-	CacheSeeded int     `json:"cache_seeded"`
 	Avoided     int     `json:"compiles_avoided"`
 	AvoidedRate float64 `json:"avoided_rate"`
 }
@@ -208,10 +208,11 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	}
 	// Warm up once so lazily built state (catalog statistics, day inputs)
 	// does not land inside the first measured iteration; the pass doubles as
-	// the footprint-collapse census (cold cache, serial — the same work every
-	// measured iteration repeats).
+	// the footprint-collapse census. It runs serially through a cold cache,
+	// so candidates can hit only entries their own job's span probes wrote;
+	// the measured iterations run cache-free and compile every candidate.
 	var fpStats steering.FootprintStats
-	if err := recompileAll(1, nil, &fpStats); err != nil {
+	if err := recompileAll(1, steering.NewCompileCache(), &fpStats); err != nil {
 		return err
 	}
 
@@ -352,14 +353,14 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	}
 	st := cache.Stats()
 
-	baseline := prBaseline
-	baseline.NsReductionPct = reductionPct(baseline.NsPerOp, serial.NsPerOp)
-	baseline.AllocReductionPct = reductionPct(baseline.AllocsPerOp, serial.AllocsPerOp)
-	baseline.BytesReductionPct = reductionPct(baseline.BytesPerOp, serial.BytesPerOp)
+	baseline := compareBaseline(prBaseline, serial, quick)
 
 	// Fold the run's observability snapshot into the report: compile counters
 	// and memo-size histograms accumulated across every measured iteration.
+	// Span records stay in -metrics-out only; the report keeps aggregates.
 	snap := r.Obs().Snapshot()
+	repSnap := snap
+	repSnap.Spans = nil
 
 	rep := perfReport{
 		// ClockFromEnv keeps -perf reports reproducible: under STEERQ_VCLOCK
@@ -381,16 +382,13 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 			HitRate:       st.HitRate(),
 			Projected:     st.Projected,
 			ProjectedRate: st.ProjectedRate(),
-			Evictions:     st.Evictions,
 		},
 		Footprint: perfFootprint{
-			Candidates:  fpStats.Candidates,
-			Classes:     fpStats.Classes,
-			Compiled:    fpStats.Compiled,
-			CacheSeeded: fpStats.CacheSeeded,
-			Avoided:     fpStats.Avoided,
+			Candidates: fpStats.Candidates,
+			Compiled:   fpStats.Compiled,
+			Avoided:    fpStats.Avoided,
 		},
-		Obs: &snap,
+		Obs: &repSnap,
 	}
 	if fpStats.Candidates > 0 {
 		rep.Footprint.AvoidedRate = float64(fpStats.Avoided) / float64(fpStats.Candidates)
@@ -428,12 +426,11 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	}
 	fmt.Printf("  compile %s: %s  %d allocs  %d B\n",
 		compile.Job, time.Duration(compile.NsPerCompile), compile.AllocsPerCompile, compile.BytesPerCompile)
-	fmt.Printf("  vs baseline: allocs -%.1f%%  bytes -%.1f%%  time -%.1f%%\n",
-		baseline.AllocReductionPct, baseline.BytesReductionPct, baseline.NsReductionPct)
-	fmt.Printf("  footprint: %d candidates -> %d classes, %d compiled (%.0f%% compiles avoided)\n",
-		rep.Footprint.Candidates, rep.Footprint.Classes, rep.Footprint.Compiled, 100*rep.Footprint.AvoidedRate)
-	fmt.Printf("  cache: %d hits / %d misses (%.0f%% hit rate, %.0f%% projected, %d entries, %d evictions)\n",
-		st.Hits, st.Misses, 100*st.HitRate(), 100*st.ProjectedRate(), st.Entries, st.Evictions)
+	fmt.Println(baselineLine(baseline))
+	fmt.Printf("  footprint: %d candidates, %d compiled (%.0f%% compiles avoided)\n",
+		rep.Footprint.Candidates, rep.Footprint.Compiled, 100*rep.Footprint.AvoidedRate)
+	fmt.Printf("  cache: %d hits / %d misses (%.0f%% hit rate, %.0f%% projected, %d entries)\n",
+		st.Hits, st.Misses, 100*st.HitRate(), 100*st.ProjectedRate(), st.Entries)
 	fmt.Printf("  wrote %s\n", outPath)
 	if metricsOut != "" {
 		if err := snap.WriteFile(metricsOut); err != nil {
@@ -548,6 +545,34 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 	return sc, nil
 }
 
+// compareBaseline fills b's reductions from the serial leg. Quick runs time
+// one iteration without counting allocations, so their alloc and byte
+// reductions stay unset rather than reading as a 100% reduction.
+func compareBaseline(b perfBaseline, serial perfConfig, quick bool) perfBaseline {
+	b.NsReductionPct = reductionPct(b.NsPerOp, serial.NsPerOp)
+	if !quick {
+		allocs := reductionPct(b.AllocsPerOp, serial.AllocsPerOp)
+		bytes := reductionPct(b.BytesPerOp, serial.BytesPerOp)
+		b.AllocReductionPct, b.BytesReductionPct = &allocs, &bytes
+	}
+	return b
+}
+
+// baselineLine renders the report's vs-baseline summary: each figure as a
+// signed change from the baseline, or "not measured".
+func baselineLine(b perfBaseline) string {
+	change := func(reduction *float64) string {
+		if reduction == nil {
+			return "not measured"
+		}
+		return fmt.Sprintf("%+.1f%%", 0-*reduction) // 0-x: no "-0.0%"
+	}
+	return fmt.Sprintf("  vs baseline: allocs %s  bytes %s  time %s",
+		change(b.AllocReductionPct), change(b.BytesReductionPct), change(&b.NsReductionPct))
+}
+
+// reductionPct is how far now undercuts base, in percent of base (negative
+// for a regression); 0 when there is no baseline.
 func reductionPct(base, now int64) float64 {
 	if base <= 0 {
 		return 0

@@ -151,27 +151,28 @@ func (r *Runner) SpanSearch(name string, day, jobs, m int) (*AblationSpanSearch,
 		spanTried, spanOK, spanChanged, spanDistinct     int
 		naiveTried, naiveOK, naiveChanged, naiveDistinct int
 	}
-	// Candidates resolve through footprint equivalence classes: one compile
-	// per class, every other member shares its outcome (value-identical by
-	// the footprint soundness argument, so the tallies match a compile-all
-	// run bit for bit — only faster).
-	policy := func(job *workload.Job, def bitvec.Vector, span bitvec.Vector, r *xrand.Source) (tried, ok, changed, distinct int) {
+	// Candidates resolve through a per-job compile cache: a configuration
+	// agreeing with an earlier compile on that compile's decision footprint
+	// shares its outcome (value-identical by the footprint soundness
+	// argument, so the tallies match a compile-all run bit for bit — only
+	// faster).
+	policy := func(job *workload.Job, cache *steering.CompileCache, def bitvec.Vector, span bitvec.Vector, r *xrand.Source) (tried, ok, changed, distinct int) {
+		fp := steering.JobFingerprint{Template: job.TemplateHash, Instance: job.InstanceHash, Inputs: job.InputsHash}
 		sigs := map[bitvec.Key]bool{def.Key(): true}
-		var classes steering.FootprintClasses
 		for _, cfg := range steering.CandidateConfigs(span, h.Opt.Rules, m, r) {
 			tried++
-			v, hit := classes.Lookup(cfg)
+			v, hit := cache.Get(fp, cfg)
 			if !hit {
 				res, err := h.Opt.Optimize(job.Root, cfg)
 				if err != nil {
 					if res != nil {
 						// No-plan verdicts carry footprints too; share them.
-						classes.Admit(cfg, steering.CompileValue{Footprint: res.Footprint})
+						cache.Put(fp, cfg, steering.CompileValue{Footprint: res.Footprint})
 					}
 					continue
 				}
 				v = steering.CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true}
-				classes.Admit(cfg, v)
+				cache.Put(fp, cfg, v)
 			}
 			if !v.OK {
 				continue
@@ -198,11 +199,12 @@ func (r *Runner) SpanSearch(name string, day, jobs, m int) (*AblationSpanSearch,
 		if err != nil {
 			return t, nil
 		}
+		cache := steering.NewCompileCache()
 		t.spanTried, t.spanOK, t.spanChanged, t.spanDistinct =
-			policy(job, def.Signature, span, rnd.Derive("span", job.ID))
+			policy(job, cache, def.Signature, span, rnd.Derive("span", job.ID))
 		// Naive policy: the "span" is every non-required rule.
 		t.naiveTried, t.naiveOK, t.naiveChanged, t.naiveDistinct =
-			policy(job, def.Signature, nonRequired, rnd.Derive("naive", job.ID))
+			policy(job, cache, def.Signature, nonRequired, rnd.Derive("naive", job.ID))
 		return t, nil
 	})
 	var spanTried, spanOK, spanChanged, spanDistinct int

@@ -48,8 +48,8 @@ type CompileValue struct {
 
 // cacheShards is the fixed shard count. Power of two so the shard pick is a
 // mask; 64 shards keep lock contention negligible at any plausible worker
-// count. Sharding is by job fingerprint alone, so all entries of one job —
-// and its eviction clock — live in one shard.
+// count. Sharding is by job fingerprint alone, so all entries of one job
+// live in one shard.
 const cacheShards = 64
 
 // footprintEntry holds every cached outcome sharing one decision footprint,
@@ -59,16 +59,13 @@ type footprintEntry struct {
 	vals map[bitvec.Key]*cacheSlot
 }
 
-// cacheSlot is one cached outcome plus its CLOCK bookkeeping.
+// cacheSlot is one cached outcome.
 type cacheSlot struct {
 	val CompileValue
 	// writer is the full (unprojected) key of the configuration that wrote
 	// the entry; a lookup whose full key differs found the entry through
 	// footprint projection alone (counted as a projected hit).
 	writer bitvec.Key
-	// ref is the second-chance bit: set on every bounded-mode hit, cleared
-	// (instead of evicting) when the clock hand passes.
-	ref bool
 }
 
 // jobEntry indexes one job's footprint entries in insertion order. Lookups
@@ -78,19 +75,9 @@ type jobEntry struct {
 	foots []*footprintEntry
 }
 
-// ringSlot is one value's position on its shard's eviction clock.
-type ringSlot struct {
-	fp  JobFingerprint
-	fe  *footprintEntry
-	key bitvec.Key
-}
-
 type cacheShard struct {
 	mu   sync.RWMutex
 	jobs map[JobFingerprint]*jobEntry
-	// ring orders the shard's value slots by insertion for the CLOCK hand.
-	ring []ringSlot
-	hand int
 }
 
 // Cache metric names. The cache always counts through *obs.Counter — a
@@ -98,11 +85,10 @@ type cacheShard struct {
 // are atomic everywhere and wiring observability re-points rather than
 // duplicates.
 const (
-	cacheHitsMetric      = "steerq_cache_hits_total"
-	cacheMissesMetric    = "steerq_cache_misses_total"
-	cacheEntriesMetric   = "steerq_cache_entries"
-	cacheProjHitsMetric  = "steerq_cache_projected_hits_total"
-	cacheEvictionsMetric = "steerq_cache_evictions_total"
+	cacheHitsMetric     = "steerq_cache_hits_total"
+	cacheMissesMetric   = "steerq_cache_misses_total"
+	cacheEntriesMetric  = "steerq_cache_entries"
+	cacheProjHitsMetric = "steerq_cache_projected_hits_total"
 )
 
 // CompileCache is a sharded, concurrency-safe memo of compilation outcomes
@@ -116,39 +102,22 @@ const (
 // whose full configuration differs from the writer's is additionally
 // counted as a projected hit.
 //
-// With a positive capacity the cache is bounded: each shard runs a
-// second-chance CLOCK over its value slots in insertion order, and inserts
-// that push the global entry count past the capacity evict from the
-// inserting shard (a segmented clock — 64 independent hands, no global
-// ordering to contend on). Eviction order is deterministic whenever each
-// job's compiles are issued serially, which the pipeline guarantees: the
-// candidate stage's cache traffic is serial per job, and distinct jobs
-// occupy distinct shards.
+// The cache is unbounded: it lives for one workload run (a bundle build, an
+// experiment), whose distinct (job, footprint projection) pairs it holds.
 type CompileCache struct {
 	shards    [cacheShards]cacheShard
-	capacity  int
 	entries   atomic.Int64
 	hits      *obs.Counter
 	misses    *obs.Counter
 	projected *obs.Counter
-	evictions *obs.Counter
 }
 
-// NewCompileCache returns an empty, unbounded cache.
+// NewCompileCache returns an empty cache.
 func NewCompileCache() *CompileCache {
-	return NewCompileCacheWithCapacity(0)
-}
-
-// NewCompileCacheWithCapacity returns an empty cache bounded to at most
-// capacity entries (0 means unbounded). Serving-scale workloads should
-// bound the cache: without it, churned templates accumulate forever.
-func NewCompileCacheWithCapacity(capacity int) *CompileCache {
 	c := &CompileCache{
-		capacity:  capacity,
 		hits:      obs.NewCounter(cacheHitsMetric),
 		misses:    obs.NewCounter(cacheMissesMetric),
 		projected: obs.NewCounter(cacheProjHitsMetric),
-		evictions: obs.NewCounter(cacheEvictionsMetric),
 	}
 	for i := range c.shards {
 		c.shards[i].jobs = make(map[JobFingerprint]*jobEntry)
@@ -168,12 +137,10 @@ func (c *CompileCache) SetObs(reg *obs.Registry, labels ...string) {
 	hits := reg.Counter(cacheHitsMetric, labels...)
 	misses := reg.Counter(cacheMissesMetric, labels...)
 	projected := reg.Counter(cacheProjHitsMetric, labels...)
-	evictions := reg.Counter(cacheEvictionsMetric, labels...)
 	hits.Add(c.hits.Value())
 	misses.Add(c.misses.Value())
 	projected.Add(c.projected.Value())
-	evictions.Add(c.evictions.Value())
-	c.hits, c.misses, c.projected, c.evictions = hits, misses, projected, evictions
+	c.hits, c.misses, c.projected = hits, misses, projected
 	reg.GaugeFunc(cacheEntriesMetric, func() float64 {
 		return float64(c.entries.Load())
 	}, labels...)
@@ -186,22 +153,18 @@ func (c *CompileCache) shard(fp JobFingerprint) *cacheShard {
 }
 
 // lookup scans the job's footprint entries in insertion order for one whose
-// projection of cfg is present. mark sets the CLOCK reference bit (bounded
-// mode only — callers holding just the read lock must pass false).
-func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector, full bitvec.Key, mark bool) (CompileValue, bool, bool) {
-	je := s.jobs[fp]
-	if je == nil {
-		return CompileValue{}, false, false
-	}
-	for _, fe := range je.foots {
-		if slot, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
-			if mark {
-				slot.ref = true
+// projection of cfg is present, and returns a copy of it: a concurrent Put
+// may refresh the slot once the caller drops the lock. Callers hold at least
+// the read lock.
+func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector) (cacheSlot, bool) {
+	if je := s.jobs[fp]; je != nil {
+		for _, fe := range je.foots {
+			if slot, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
+				return *slot, true
 			}
-			return slot.val, true, slot.writer != full
 		}
 	}
-	return CompileValue{}, false, false
+	return cacheSlot{}, false
 }
 
 // Get returns the cached value for compiling the fingerprinted job under
@@ -213,35 +176,24 @@ func (c *CompileCache) Get(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, 
 		return CompileValue{}, false
 	}
 	s := c.shard(fp)
-	full := cfg.Key()
-	var v CompileValue
-	var ok, projected bool
-	if c.capacity > 0 {
-		// Bounded mode writes the reference bit, so hits need the write
-		// lock. Contention stays negligible: per-job traffic is serial.
-		s.mu.Lock()
-		v, ok, projected = s.lookup(fp, cfg, full, true)
-		s.mu.Unlock()
-	} else {
-		s.mu.RLock()
-		v, ok, projected = s.lookup(fp, cfg, full, false)
-		s.mu.RUnlock()
-	}
-	if ok {
-		c.hits.Inc()
-		if projected {
-			c.projected.Inc()
-		}
-	} else {
+	s.mu.RLock()
+	slot, ok := s.lookup(fp, cfg)
+	s.mu.RUnlock()
+	if !ok {
 		c.misses.Inc()
+		return CompileValue{}, false
 	}
-	return v, ok
+	c.hits.Inc()
+	if slot.writer != cfg.Key() {
+		c.projected.Inc()
+	}
+	return slot.val, true
 }
 
 // Put stores the outcome of compiling the fingerprinted job under cfg. The
 // entry is indexed by cfg projected onto v.Footprint. Concurrent Puts of
 // the same projection are benign: compilation is deterministic, so both
-// writers carry identical values. Inserts past the capacity evict.
+// writers carry identical values.
 func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue) {
 	if c == nil {
 		return
@@ -260,10 +212,10 @@ type CacheWrite struct {
 
 // PutBatch applies a batch of writes for one fingerprinted job under a
 // single shard-lock acquisition, in slice order. The pipeline's merge phase
-// drains each compile batch's per-worker write buffers through it — all of
-// one job's entries live in one shard (sharding is by fingerprint alone),
-// so the batch pays one lock round trip instead of one per candidate, and
-// insertion order — hence CLOCK eviction order — is exactly the slice
+// writes a job's whole candidate stage through it — all of one job's
+// entries live in one shard (sharding is by fingerprint alone), so the
+// stage pays one lock round trip instead of one per candidate, and
+// insertion order (which fixes lookup scan order) is exactly the slice
 // order, independent of how many workers produced the values.
 func (c *CompileCache) PutBatch(fp JobFingerprint, writes []CacheWrite) {
 	if c == nil || len(writes) == 0 {
@@ -298,62 +250,11 @@ func (c *CompileCache) putLocked(s *cacheShard, fp JobFingerprint, cfg bitvec.Ve
 	}
 	k := cfg.And(v.Footprint).Key()
 	if slot, ok := fe.vals[k]; ok {
-		slot.val = v // deterministic recompile of the same class; refresh
+		slot.val = v // deterministic recompile of the same projection; refresh
 		return
 	}
 	fe.vals[k] = &cacheSlot{val: v, writer: cfg.Key()}
-	s.ring = append(s.ring, ringSlot{fp: fp, fe: fe, key: k})
-	n := c.entries.Add(1)
-	if c.capacity > 0 {
-		for ; n > int64(c.capacity); n-- {
-			s.evictLocked(c)
-		}
-	}
-}
-
-// evictLocked removes one value slot from the shard by second-chance CLOCK:
-// the hand sweeps the insertion-ordered ring, clearing reference bits until
-// it finds a slot whose bit is already clear. Callers hold the write lock.
-func (s *cacheShard) evictLocked(c *CompileCache) {
-	for len(s.ring) > 0 {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		rs := s.ring[s.hand]
-		if slot := rs.fe.vals[rs.key]; slot != nil && slot.ref {
-			slot.ref = false
-			s.hand++
-			continue
-		}
-		delete(rs.fe.vals, rs.key)
-		s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
-		if len(rs.fe.vals) == 0 {
-			s.dropFootprint(rs.fp, rs.fe)
-		}
-		c.entries.Add(-1)
-		c.evictions.Inc()
-		return
-	}
-}
-
-// dropFootprint unlinks an emptied footprint entry from its job (and the
-// job itself once footprint-less) so churned templates do not accumulate
-// empty shells.
-func (s *cacheShard) dropFootprint(fp JobFingerprint, fe *footprintEntry) {
-	je := s.jobs[fp]
-	if je == nil {
-		return
-	}
-	foots := je.foots[:0]
-	for _, f := range je.foots {
-		if f != fe {
-			foots = append(foots, f)
-		}
-	}
-	je.foots = foots
-	if len(je.foots) == 0 {
-		delete(s.jobs, fp)
-	}
+	c.entries.Add(1)
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -361,9 +262,7 @@ type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Projected uint64
-	Evictions uint64
 	Entries   int
-	Capacity  int
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -393,9 +292,7 @@ func (c *CompileCache) Stats() CacheStats {
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Projected: c.projected.Value(),
-		Evictions: c.evictions.Value(),
 		Entries:   int(c.entries.Load()),
-		Capacity:  c.capacity,
 	}
 }
 

@@ -120,6 +120,13 @@ func TestCompileCacheReuse(t *testing.T) {
 	if second.Hits <= first.Hits {
 		t.Fatalf("second pass recorded no hits: %+v -> %+v", first, second)
 	}
+	// The second pass replays the first pass's probes — span probes and one
+	// sweep probe per candidate — and every one hits, so its probe count
+	// equals the first pass's hits plus misses only if each candidate is
+	// probed once per Recompile.
+	if probes := second.Hits - first.Hits; probes != first.Hits+first.Misses {
+		t.Fatalf("second pass probed the cache %d times, first pass %d (%+v)", probes, first.Hits+first.Misses, first)
+	}
 	if !a1.Span.Equal(a2.Span) || len(a1.Candidates) != len(a2.Candidates) {
 		t.Fatal("cached recompilation differs from fresh one")
 	}

@@ -49,21 +49,20 @@ type Analysis struct {
 
 	// Robustness tallies the injected-fault handling this analysis needed:
 	// retries, timeouts, corrupted compiles and fallbacks. Always zero when
-	// injection is off. Accumulated serially in batch order, so it is
+	// injection is off. Accumulated serially in candidate order, so it is
 	// identical at any worker count.
 	Robustness faults.Record
 
-	// Footprint reports how far footprint memoization collapsed the
-	// candidate stage: of Candidates generated configurations, only
-	// Compiled went through the optimizer; the rest resolved against an
-	// equivalence class (Avoided), seeded either by a compile in this
-	// analysis or by a compile-cache hit (CacheSeeded).
+	// Footprint reports how far the compile cache collapsed the candidate
+	// stage: of Candidates generated configurations, only Compiled went
+	// through the optimizer; the rest (Avoided) hit the cache, directly or
+	// through footprint projection.
 	Footprint FootprintStats
 
 	// Sched summarizes the candidate stage's scheduling. Steals are
 	// diagnostic — which worker reached an item first is timing-dependent —
 	// and are deliberately excluded from the determinism contract; every
-	// other field is a function of the batch sequence and so identical at
+	// other field is a function of the candidate sequence and so identical at
 	// any worker count.
 	Sched SchedStats
 }
@@ -75,9 +74,9 @@ type SchedStats struct {
 	Items int
 	// Steals counts cross-worker steals (diagnostic; see Analysis.Sched).
 	Steals uint64
-	// Merges counts serial merge phases (one per compile batch).
+	// Merges counts serial merge phases (one per candidate stage).
 	Merges int
-	// MaxWorkers is the widest resolved worker count any batch ran with.
+	// MaxWorkers is the widest resolved worker count any fan-out ran with.
 	MaxWorkers int
 }
 
@@ -91,29 +90,22 @@ func (s *SchedStats) Add(o SchedStats) {
 	}
 }
 
-// FootprintStats summarizes the equivalence-class collapse of one candidate
-// stage (see FootprintClasses).
+// FootprintStats summarizes how far the compile cache's footprint
+// projection collapsed one candidate stage.
 type FootprintStats struct {
 	// Candidates is the number of candidate configurations generated.
 	Candidates int
-	// Classes is the number of distinct equivalence classes discovered.
-	Classes int
 	// Compiled is the number of candidates actually sent through the
 	// optimizer (including faulted attempts).
 	Compiled int
-	// CacheSeeded counts classes whose representative came from the
-	// compile cache rather than a fresh compile.
-	CacheSeeded int
-	// Avoided counts candidates resolved without compiling: class or cache.
+	// Avoided counts candidates resolved by a compile-cache hit.
 	Avoided int
 }
 
 // Add accumulates o into s (for workload-level reporting).
 func (s *FootprintStats) Add(o FootprintStats) {
 	s.Candidates += o.Candidates
-	s.Classes += o.Classes
 	s.Compiled += o.Compiled
-	s.CacheSeeded += o.CacheSeeded
 	s.Avoided += o.Avoided
 }
 
@@ -242,33 +234,16 @@ func (p *Pipeline) recompileCtx(ctx context.Context, job *workload.Job) (*Analys
 	// pure compile calls fan out below.
 	r := p.Rand.Derive("job", job.ID)
 	cfgs := CandidateConfigs(span, h.Opt.Rules, p.MaxCandidates, r)
-	// Candidate outcomes are per-candidate counters, not spans: M can be
-	// 1000, and an atomic add per candidate keeps the volume O(1) in memory.
-	// Pre-resolving the three counters keeps registry lookups out of the
-	// fan-out.
-	candCounters := map[string]*obs.Counter{
-		"compiled": p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled"),
-		"noplan":   p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan"),
-		"faulted":  p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted"),
-	}
-	p.resolveCandidates(ctx, job, cfgs, a, candCounters)
-	p.Obs.Counter("steerq_pipeline_footprint_classes_total").Add(uint64(a.Footprint.Classes))
+	p.resolveCandidates(ctx, job, cfgs, a)
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
 }
 
-// classBatch is how many unresolved candidates each discovery round
-// compiles in parallel. Fixed — never derived from Workers — so the class
-// discovery sequence, and with it every shared value and counter, is
-// byte-identical at any worker count. 16 keeps even an 8-worker pool busy
-// while bounding the compiles wasted on candidates that round N+1 would
-// have resolved against round N's classes.
-const classBatch = 16
-
-// Merge-phase metric names and histogram bounds. Durations read the
+// Candidate-stage metric names and merge histogram bounds. Durations read the
 // registry clock, so frozen-clock runs record deterministic zeros exactly
 // like span durations.
 const (
+	candidatesMetric   = "steerq_pipeline_candidates_total"
 	mergeSecondsMetric = "steerq_pipeline_merge_seconds"
 	mergesMetric       = "steerq_pipeline_merges_total"
 )
@@ -314,159 +289,114 @@ func (p *Pipeline) schedTelemetry() *par.SchedObs {
 	return p.schedObs
 }
 
-// mergeEntry is one compiled candidate parked in its worker's write buffer
-// until the serial merge phase: the batch index it belongs to, the compile
-// outcome, and the fault record the attempt accumulated.
-type mergeEntry struct {
-	bi  int
+// missSlot is one cache-missing candidate's compile outcome, written by
+// exactly one fan-out item and read by the serial merge: the compile value,
+// its error, and the fault record the attempt accumulated.
+type missSlot struct {
 	v   CompileValue
 	err error
 	rec faults.Record
 }
 
 // resolveCandidates resolves every candidate configuration to a compile
-// outcome, compiling only one representative per footprint equivalence
-// class (see FootprintClasses). Rounds alternate a serial sweep — resolve
-// pending candidates against discovered classes, then against the compile
-// cache — with a work-stealing parallel compile of the first classBatch
-// still-unresolved candidates, and a serial merge phase.
+// outcome in three phases: one serial sweep probes the compile cache for
+// each candidate, one work-stealing fan-out compiles the misses into
+// per-candidate slots, and one serial merge applies every outcome in
+// ascending candidate index and writes the cache through a single PutBatch.
+// The cache's footprint projection is the only cross-candidate sharing: a
+// candidate hits when an earlier compile (a span probe, or a previous
+// analysis of the same job) read a footprint it agrees with.
 //
-// The parallel phase is write-free on every shared structure: each worker
-// compiles through its own checked-out arena and parks outcomes in its own
-// write buffer (the worker-identity exclusivity of par.Run is the lock).
-// The merge phase then drains the buffers in worker-index order, scatters
-// them back into batch order, and applies them in ascending candidate
-// index — the exact order a serial run produces — pushing all cache writes
-// through one PutBatch. Classes, counters, fault records and the cache's
-// CLOCK eviction order therefore never see worker count or schedule, and
-// heavier candidates (more enabled rules) are scheduled first via the
-// priority hook without affecting any of it.
-func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, candCounters map[string]*obs.Counter) {
+// The fan-out is write-free on every shared structure: each item compiles
+// through its worker's checked-out arena (the worker-identity exclusivity of
+// par.Run is the lock) into its own slot. Counters, fault records and cache
+// insertion order are applied by the merge alone, so they never see worker
+// count or schedule, and heavier candidates (more enabled rules) are
+// scheduled first via the priority hook without affecting any of it.
+func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis) {
 	a.Footprint.Candidates = len(cfgs)
 	fp, cacheable := jobFingerprint(job)
 	cacheable = cacheable && p.Cache != nil
-	var classes FootprintClasses
-	resolved := make([]Candidate, len(cfgs))
-	okFlags := make([]bool, len(cfgs))
-	record := func(i int, v CompileValue) {
-		if !v.OK {
-			candCounters["noplan"].Inc()
-			return
+
+	// Sweep: one cache probe per candidate. misses is ascending, which the
+	// merge relies on to tell hits from misses.
+	cached := make([]CompileValue, len(cfgs))
+	misses := make([]int, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		if cacheable {
+			if v, ok := p.Cache.Get(fp, cfg); ok {
+				cached[i] = v
+				continue
+			}
 		}
-		candCounters["compiled"].Inc()
-		resolved[i] = Candidate{Config: cfgs[i], EstCost: v.Cost, Signature: v.Signature}
-		okFlags[i] = true
+		misses = append(misses, i)
 	}
 
+	// Fan-out: compile every miss into its own slot; nothing shared is
+	// written.
 	workers := par.Workers(p.Workers)
-	if workers > classBatch {
-		workers = classBatch
+	if workers > len(misses) {
+		workers = len(misses)
 	}
 	arenas := p.checkoutArenas(workers)
 	defer p.returnArenas(arenas)
-	schedObs := p.schedTelemetry()
-	mergeHist := p.Obs.Histogram(mergeSecondsMetric, mergeSecondsBounds)
-	mergeCount := p.Obs.Counter(mergesMetric)
-	clock := p.Obs.Clock()
-
-	var slots [classBatch]mergeEntry
-	bufs := make([][]mergeEntry, workers)
-	var writes []CacheWrite
-	pending := make([]int, len(cfgs))
-	for i := range pending {
-		pending[i] = i
+	slots := make([]missSlot, len(misses))
+	st, _ := par.Run(workers, len(misses), par.Options{
+		Priority: func(mi int) int64 { return int64(cfgs[misses[mi]].Count()) },
+		Obs:      p.schedTelemetry(),
+	}, func(worker, mi int) error {
+		s := &slots[mi]
+		tag := fmt.Sprintf("%s/cand%d", job.ID, misses[mi])
+		s.v, s.err = p.compileFresh(ctx, job, cfgs[misses[mi]], tag, &s.rec, arenas[worker])
+		return nil
+	})
+	a.Sched.Items += st.Items
+	a.Sched.Steals += st.Steals
+	if st.Workers > a.Sched.MaxWorkers {
+		a.Sched.MaxWorkers = st.Workers
 	}
-	for len(pending) > 0 {
-		// The sweep overwrites pending in place: the write index never
-		// passes the read index, and each round only keeps the tail.
-		unresolved := pending[:0]
-		for _, i := range pending {
-			if v, ok := classes.Lookup(cfgs[i]); ok {
-				a.Footprint.Avoided++
-				record(i, v)
-				continue
-			}
-			if cacheable {
-				if v, ok := p.Cache.Get(fp, cfgs[i]); ok {
-					if classes.Admit(cfgs[i], v) {
-						a.Footprint.Classes++
-						a.Footprint.CacheSeeded++
-					}
-					a.Footprint.Avoided++
-					record(i, v)
-					continue
-				}
-			}
-			unresolved = append(unresolved, i)
-		}
-		if len(unresolved) == 0 {
-			break
-		}
-		n := classBatch
-		if n > len(unresolved) {
-			n = len(unresolved)
-		}
-		batch := unresolved[:n]
-		// Parallel phase: workers compile into their own buffers through
-		// their own arenas; nothing shared is written.
-		for w := range bufs {
-			bufs[w] = bufs[w][:0]
-		}
-		st, _ := par.Run(workers, len(batch), par.Options{
-			Priority: func(bi int) int64 { return int64(cfgs[batch[bi]].Count()) },
-			Obs:      schedObs,
-		}, func(worker, bi int) error {
-			e := mergeEntry{bi: bi}
-			tag := fmt.Sprintf("%s/cand%d", job.ID, batch[bi])
-			e.v, e.err = p.compileFresh(ctx, job, cfgs[batch[bi]], tag, &e.rec, arenas[worker])
-			bufs[worker] = append(bufs[worker], e)
-			return nil
-		})
-		a.Sched.Items += st.Items
-		a.Sched.Steals += st.Steals
-		if st.Workers > a.Sched.MaxWorkers {
-			a.Sched.MaxWorkers = st.Workers
-		}
 
-		// Merge phase: worker-index order for collection, ascending
-		// candidate index for application.
-		mergeStart := clock()
-		for w := range bufs {
-			for _, e := range bufs[w] {
-				slots[e.bi] = e
-			}
-		}
-		writes = writes[:0]
-		for bi := range batch {
-			s := &slots[bi]
-			i := batch[bi]
+	// Merge: apply outcomes in ascending candidate index — the order a
+	// serial run produces. Candidate outcomes are counters, not spans: M can
+	// be 1000, so they are tallied here and added once.
+	clock := p.Obs.Clock()
+	mergeStart := clock()
+	a.Candidates = make([]Candidate, 0, len(cfgs))
+	writes := make([]CacheWrite, 0, len(misses))
+	var noplan, faulted int
+	mi := 0
+	for i, cfg := range cfgs {
+		v := cached[i]
+		if mi == len(misses) || misses[mi] != i {
+			a.Footprint.Avoided++
+		} else {
+			s := &slots[mi]
+			mi++
 			a.Robustness.Add(s.rec)
 			a.Footprint.Compiled++
 			if s.err != nil && !errors.Is(s.err, cascades.ErrNoPlan) {
-				// Faulted compile: no footprint to trust, nothing shared.
-				candCounters["faulted"].Inc()
+				// Faulted compile: no footprint to trust, nothing cached.
+				faulted++
 				continue
 			}
-			if classes.Admit(cfgs[i], s.v) {
-				a.Footprint.Classes++
-			}
 			if cacheable {
-				writes = append(writes, CacheWrite{Config: cfgs[i], Value: s.v})
+				writes = append(writes, CacheWrite{Config: cfg, Value: s.v})
 			}
-			record(i, s.v)
+			v = s.v
 		}
-		p.Cache.PutBatch(fp, writes)
-		a.Sched.Merges++
-		mergeCount.Inc()
-		mergeHist.Observe(clock().Sub(mergeStart).Seconds())
-		pending = unresolved[n:]
-	}
-	a.Candidates = make([]Candidate, 0, len(cfgs))
-	for i := range cfgs {
-		if okFlags[i] {
-			a.Candidates = append(a.Candidates, resolved[i])
+		if !v.OK {
+			noplan++
+			continue
 		}
+		a.Candidates = append(a.Candidates, Candidate{Config: cfg, EstCost: v.Cost, Signature: v.Signature})
 	}
+	p.Cache.PutBatch(fp, writes)
+	p.Obs.Counter(candidatesMetric, "outcome", "compiled").Add(uint64(len(a.Candidates)))
+	p.Obs.Counter(candidatesMetric, "outcome", "noplan").Add(uint64(noplan))
+	p.Obs.Counter(candidatesMetric, "outcome", "faulted").Add(uint64(faulted))
+	a.Sched.Merges++
+	p.Obs.Counter(mergesMetric).Inc()
+	p.Obs.Histogram(mergeSecondsMetric, mergeSecondsBounds).Observe(clock().Sub(mergeStart).Seconds())
 }
 
 // compile optimizes job under cfg through the cache, retrying injected
@@ -505,7 +435,8 @@ func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Ve
 // injected faults per the harness policy. On success the returned value
 // carries the compile's decision footprint; a genuine no-plan outcome
 // (cascades.ErrNoPlan) returns OK=false but still carries the footprint, so
-// negatives share across equivalence classes exactly like successes.
+// negatives share through the cache's footprint projection exactly like
+// successes.
 //
 // arena, when non-nil, is the caller's worker-local compile arena; nil
 // falls back to the cascades scratch pool (the serial span-probe path).
