@@ -34,9 +34,11 @@
 #                                faulted job surviving via retry or fallback
 #  11. metrics golden smoke      the same pinned-seed pipeline run under the
 #                                frozen virtual clock (STEERQ_VCLOCK) with
-#                                -metrics-out, diffed byte-for-byte against the
-#                                committed snapshot golden — metric drift and
-#                                nondeterminism both fail here
+#                                -metrics-out at 1 and at 4 workers, each
+#                                diffed byte-for-byte against the one
+#                                committed snapshot golden — metric drift,
+#                                nondeterminism and worker-count dependence
+#                                all fail here
 #  12. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
 #                                start steerqd on an ephemeral loopback port,
@@ -151,16 +153,19 @@ grep -q 'fault injection:' /tmp/steerq-faults.$$ || {
 }
 rm -f /tmp/steerq-faults.$$
 
-echo "== metrics golden smoke (frozen clock, pinned seed 1337) =="
-STEERQ_VCLOCK=1 STEERQ_CHECK_PLANS=1 go run ./cmd/steerq pipeline \
-    -workload A -job 0/3 -m 60 -k 5 -workers 4 -fault-seed 1337 \
-    -metrics-out /tmp/steerq-metrics.$$.json > /dev/null
-diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json || {
-    echo "metrics smoke: snapshot drifted from committed golden" >&2
-    echo "(if the change is intentional, regenerate with the command above)" >&2
-    rm -f /tmp/steerq-metrics.$$.json
-    exit 1
-}
+echo "== metrics golden smoke (frozen clock, pinned seed 1337, 1 and 4 workers) =="
+# The snapshot is worker-count independent: both runs must match one golden.
+for w in 1 4; do
+    STEERQ_VCLOCK=1 STEERQ_CHECK_PLANS=1 go run ./cmd/steerq pipeline \
+        -workload A -job 0/3 -m 60 -k 5 -workers $w -fault-seed 1337 \
+        -metrics-out /tmp/steerq-metrics.$$.json > /dev/null
+    diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json || {
+        echo "metrics smoke: -workers $w snapshot drifted from committed golden" >&2
+        echo "(if the change is intentional, regenerate with the command above)" >&2
+        rm -f /tmp/steerq-metrics.$$.json
+        exit 1
+    }
+done
 rm -f /tmp/steerq-metrics.$$.json
 
 echo "== serving smoke (steerqd end to end, frozen clock) =="

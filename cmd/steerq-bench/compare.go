@@ -102,13 +102,13 @@ func diffScaling(o, n *perfScaling, speedupPct float64) []string {
 		fmt.Printf("  scaling  skipped (empty sweep)\n")
 		return nil
 	}
-	oldMax, newMax := o.Legs[len(o.Legs)-1], n.Legs[len(n.Legs)-1]
+	newMax := n.Legs[len(n.Legs)-1]
 	drop := 0.0
 	if o.SpeedupAtMax > 0 {
 		drop = 100 * (1 - n.SpeedupAtMax/o.SpeedupAtMax)
 	}
-	fmt.Printf("  scaling  speedup@%dw %.2fx -> %.2fx (%+.1f%%)  steals %d -> %d\n",
-		newMax.Workers, o.SpeedupAtMax, n.SpeedupAtMax, -drop, oldMax.Steals, newMax.Steals)
+	fmt.Printf("  scaling  speedup@%dw %.2fx -> %.2fx (%+.1f%%)\n",
+		newMax.Workers, o.SpeedupAtMax, n.SpeedupAtMax, -drop)
 	if o.Oversubscribed || n.Oversubscribed {
 		fmt.Printf("  scaling  speedup gate skipped (oversubscribed sweep: workers exceed cores)\n")
 		return nil
@@ -124,12 +124,14 @@ func diffScaling(o, n *perfScaling, speedupPct float64) []string {
 
 // deltaPct is the percent change from old to new; positive means new is
 // worse (bigger). A non-positive old value yields 0 rather than dividing by
-// zero — a report that never measured the metric cannot regress.
+// zero — a report that never measured the metric cannot regress. The
+// difference is taken in integers so a change of exactly the threshold
+// compares equal to it instead of rounding past it.
 func deltaPct(old, new int64) float64 {
 	if old <= 0 {
 		return 0
 	}
-	return 100 * (float64(new)/float64(old) - 1)
+	return float64(100*(new-old)) / float64(old)
 }
 
 func readReport(path string) (*perfReport, error) {

@@ -35,7 +35,7 @@ type perfConfig struct {
 
 // perfScalingLeg is one worker count of the scaling sweep: cold-cache
 // Recompile over the Zipf-skewed hot-template job set, with the scheduler's
-// steal/merge counters from one representative pass.
+// item/merge counters from one representative pass.
 type perfScalingLeg struct {
 	Workers    int     `json:"workers"`
 	GoMaxProcs int     `json:"gomaxprocs"`
@@ -45,13 +45,11 @@ type perfScalingLeg struct {
 	// Speedup is legs[0].NsPerOp / NsPerOp — throughput relative to the
 	// one-worker leg of the same sweep.
 	Speedup float64 `json:"speedup"`
-	// Items/Steals/Merges are per-op scheduler counters: candidate compiles
-	// dispatched, cross-worker steals (schedule-dependent, diagnostic only),
-	// and serial merge phases. Items and Merges are deterministic.
-	Items          int    `json:"items"`
-	Steals         uint64 `json:"steals"`
-	Merges         int    `json:"merges"`
-	Oversubscribed bool   `json:"oversubscribed,omitempty"`
+	// Items/Merges are per-op scheduler counters, both deterministic:
+	// candidate compiles dispatched and serial merge phases.
+	Items          int  `json:"items"`
+	Merges         int  `json:"merges"`
+	Oversubscribed bool `json:"oversubscribed,omitempty"`
 }
 
 // perfScaling is the workers-1/2/4/8 sweep over a Zipf(s) hot-template
@@ -330,7 +328,7 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	}
 
 	// Scaling sweep: workers 1/2/4/8 over the Zipf-skewed hot-template
-	// workload, recording speedup and scheduler steal/merge counters. zipf=0
+	// workload, recording speedup and scheduler item/merge counters. zipf=0
 	// is the uniform limit of the law (arrival weights untouched), so the
 	// same sweep doubles as the uniform-traffic comparison; negative skew
 	// disables the sweep entirely.
@@ -420,8 +418,8 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 			if leg.Oversubscribed {
 				tag = "  [oversubscribed]"
 			}
-			fmt.Printf("    workers=%d: %s/op  %.2fx  %d items  %d steals  %d merges%s\n",
-				leg.Workers, time.Duration(leg.NsPerOp), leg.Speedup, leg.Items, leg.Steals, leg.Merges, tag)
+			fmt.Printf("    workers=%d: %s/op  %.2fx  %d items  %d merges%s\n",
+				leg.Workers, time.Duration(leg.NsPerOp), leg.Speedup, leg.Items, leg.Merges, tag)
 		}
 	}
 	fmt.Printf("  compile %s: %s  %d allocs  %d B\n",
@@ -452,8 +450,7 @@ var scalingWorkers = []int{1, 2, 4, 8}
 // raised to the leg's worker count when the machine has fewer cores, and such
 // legs (and the sweep) are marked oversubscribed so downstream gates can
 // ignore their speedups. One stats pass per leg records the scheduler's
-// items/steals/merges counters; items and merges are deterministic, steals
-// are schedule-dependent diagnostics.
+// deterministic items/merges counters.
 func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool) (*perfScaling, error) {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = scale
@@ -527,7 +524,7 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 			}
 		}
 		leg.SecPerOp = float64(leg.NsPerOp) / 1e9
-		leg.Items, leg.Steals, leg.Merges = sched.Items, sched.Steals, sched.Merges
+		leg.Items, leg.Merges = sched.Items, sched.Merges
 		if len(sc.Legs) > 0 && leg.NsPerOp > 0 {
 			leg.Speedup = float64(sc.Legs[0].NsPerOp) / float64(leg.NsPerOp)
 		} else if len(sc.Legs) == 0 {

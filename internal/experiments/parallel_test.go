@@ -83,12 +83,11 @@ func TestAnalyzedJobsParallelDeterminism(t *testing.T) {
 }
 
 // TestZipfPipelineParallelDeterminism is the metamorphic acceptance test for
-// the work-stealing scheduler on skewed traffic: a full pipeline run over the
-// Zipf hot-template workload, rendered to bytes, must be identical at 1 and 8
+// the scheduler on skewed traffic: a full pipeline run over the Zipf
+// hot-template workload, rendered to bytes, must be identical at 1 and 8
 // workers. The hot templates concentrate compiles on few footprints, which is
-// exactly where stealing and the merge phase see the most traffic. Steals are
-// deliberately absent from the rendering — they are schedule-dependent
-// diagnostics — while the scheduler's Items and Merges counters are included
+// exactly where the fan-out and the merge phase see the most traffic. The
+// scheduler's Items and Merges counters are included in the rendering
 // because they must not depend on the worker count.
 func TestZipfPipelineParallelDeterminism(t *testing.T) {
 	render := func(workers int) []byte {

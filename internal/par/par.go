@@ -9,6 +9,12 @@
 // reproduction guarantees of internal/xrand, which is why no streaming or
 // completion-order API is offered at all.
 //
+// There is one dispatch path: Run claims items from one atomic cursor over
+// the schedule order (index order, or descending priority), and ForEach and
+// Map are thin wrappers over it. Cancellation belongs to the callback:
+// callers bound each compile or execution attempt with ItemContext and carry
+// a failure as data.
+//
 // Worker counts resolve in precedence order: an explicit positive value, the
 // STEERQ_WORKERS environment variable, then runtime.GOMAXPROCS(0).
 //
@@ -52,9 +58,9 @@ func Workers(n int) int {
 // as a reason to stop); the returned error is the one from the lowest failing
 // index, so the error too is independent of scheduling.
 //
-// ForEach schedules through the work-stealing scheduler (see Run) with no
-// priority function, so items are dealt in index order; callers that want
-// priorities, worker identities or scheduling telemetry use Run directly.
+// ForEach schedules through Run with no priority function, so items are
+// dispatched in index order; callers that want priorities, worker identities
+// or scheduling telemetry use Run directly.
 func ForEach(workers, n int, f func(i int) error) error {
 	_, err := Run(workers, n, Options{}, func(_, i int) error {
 		return f(i)
@@ -70,38 +76,6 @@ func Map[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([]
 	out := make([]R, len(items))
 	err := ForEach(workers, len(items), func(i int) error {
 		r, err := f(i, items[i])
-		out[i] = r
-		return err
-	})
-	return out, err
-}
-
-// ForEachCtx is ForEach with a context: f receives ctx so long-running items
-// can honor deadlines, and once ctx is done no further indices start — each
-// unstarted index records ctx.Err() as its error instead of running. Indices
-// already in flight run to completion (they see the cancellation through
-// their own ctx), so the pool never abandons a goroutine mid-item.
-//
-// The determinism contract weakens only on the error path: with a live
-// context the results are bit-for-bit identical to ForEach; after a
-// cancellation the set of indices that ran depends on timing, but the
-// returned error is still the lowest-index failure, and a context canceled
-// before the call starts skips every index deterministically.
-func ForEachCtx(ctx context.Context, workers, n int, f func(ctx context.Context, i int) error) error {
-	return ForEach(workers, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return f(ctx, i)
-	})
-}
-
-// MapCtx is Map with a context, with the same slotting and lowest-index
-// error semantics; see ForEachCtx for the cancellation contract.
-func MapCtx[T, R any](ctx context.Context, workers int, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEachCtx(ctx, workers, len(items), func(ctx context.Context, i int) error {
-		r, err := f(ctx, i, items[i])
 		out[i] = r
 		return err
 	})

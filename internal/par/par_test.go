@@ -1,11 +1,13 @@
 package par_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"steerq/internal/par"
 )
@@ -113,5 +115,99 @@ func TestEmptyAndZeroInputs(t *testing.T) {
 	out, err := par.Map(4, []int(nil), func(int, int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("nil items: out=%v err=%v", out, err)
+	}
+}
+
+// TestMapEdgeCases is the table-driven edge-case suite for the pool: empty
+// input, every item failing, and failures mixed with successes, at one worker
+// and at a parallel worker count.
+func TestMapEdgeCases(t *testing.T) {
+	boom := func(i int) error { return fmt.Errorf("item %d failed", i) }
+	cases := []struct {
+		name     string
+		n        int
+		failWhen func(i int) bool
+		wantErr  string // substring of the lowest-index failure; "" = no error
+		wantOut  func(i int) int
+	}{
+		{
+			name: "zero-items",
+			n:    0, failWhen: func(int) bool { return false },
+			wantErr: "", wantOut: nil,
+		},
+		{
+			name: "single-item",
+			n:    1, failWhen: func(int) bool { return false },
+			wantErr: "", wantOut: func(i int) int { return i * i },
+		},
+		{
+			name: "all-error",
+			n:    37, failWhen: func(int) bool { return true },
+			wantErr: "item 0 failed", wantOut: func(int) int { return 0 },
+		},
+		{
+			name: "mixed-errors-keep-successful-slots",
+			n:    64, failWhen: func(i int) bool { return i%5 == 3 },
+			wantErr: "item 3 failed",
+			wantOut: func(i int) int {
+				if i%5 == 3 {
+					return 0 // failed slots keep the zero value
+				}
+				return i * i
+			},
+		},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				items := make([]int, tc.n)
+				for i := range items {
+					items[i] = i
+				}
+				out, err := par.Map(workers, items, func(i, item int) (int, error) {
+					if tc.failWhen(i) {
+						return 0, boom(i)
+					}
+					return item * item, nil
+				})
+				if tc.wantErr == "" && err != nil {
+					t.Fatalf("err = %v", err)
+				}
+				if tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
+					t.Fatalf("err = %v, want %q (the lowest failing index)", err, tc.wantErr)
+				}
+				if len(out) != tc.n {
+					t.Fatalf("len(out) = %d, want %d", len(out), tc.n)
+				}
+				for i, v := range out {
+					if want := tc.wantOut(i); v != want {
+						t.Fatalf("out[%d] = %d, want %d", i, v, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestItemContext(t *testing.T) {
+	parent := context.Background()
+	ctx, cancel := par.ItemContext(parent, 0)
+	if ctx != parent {
+		t.Fatal("zero timeout should return the parent context unchanged")
+	}
+	cancel() // must be a safe no-op
+
+	ctx, cancel = par.ItemContext(parent, 10*time.Millisecond)
+	defer cancel()
+	dl, ok := ctx.Deadline()
+	if !ok {
+		t.Fatal("positive timeout did not set a deadline")
+	}
+	if until := time.Until(dl); until <= 0 || until > 10*time.Millisecond {
+		t.Fatalf("deadline %v from now, want (0, 10ms]", until)
+	}
+	<-ctx.Done()
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		t.Fatalf("ctx.Err() = %v", ctx.Err())
 	}
 }

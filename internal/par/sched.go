@@ -1,25 +1,24 @@
-// Work-stealing scheduler: the execution engine behind ForEach/Map and the
+// Shared-cursor scheduler: the execution engine behind ForEach/Map and the
 // direct Run API.
 //
-// The previous pool handed indices out of one shared atomic counter, which
-// serializes every worker on one cache line and cannot prioritize expensive
-// items. The scheduler instead deals the full index set into per-worker
-// bounded deques up front (optionally ordered by a caller-supplied priority,
-// heaviest first) and lets idle workers steal: a worker drains its own deque
-// from the head and, once empty, takes the lowest-index item exposed at any
-// victim's steal end. Stealing moves scheduling decisions, never results —
-// results stay slotted by input index and errors still resolve to the lowest
-// failing index, so the determinism contract in the package comment is
-// untouched at any worker count.
+// Run computes one schedule order up front (input order, or descending
+// caller-supplied priority with ties by index) and every worker claims the
+// next entry of it from one atomic cursor. The k-th item dispatched across
+// all workers is therefore exactly order[k], at any worker count: the
+// heaviest items start first and a stalled worker holds back only the item it
+// is running. The cursor costs one atomic add per item, which is noise next
+// to the hundreds of microseconds of one candidate compile. Scheduling moves
+// decisions, never results — results stay slotted by input index and errors
+// still resolve to the lowest failing index, so the determinism contract in
+// the package comment is untouched.
 //
 // Observability is the one place scheduling could leak: which worker ran an
-// item and how often deques ran dry are genuinely schedule-dependent. Under
-// the deterministic virtual clock (STEERQ_VCLOCK, the same switch that
-// freezes span durations) SchedObs therefore publishes the canonical serial
-// schedule — every item attributed to worker 0, zero steals — keeping
-// frozen-clock metric snapshots byte-identical at any worker count, exactly
-// as durations are canonicalized to zero. Wall-clock runs publish the
-// actuals.
+// item is genuinely schedule-dependent. Under the deterministic virtual
+// clock (STEERQ_VCLOCK, the same switch that freezes span durations)
+// SchedObs therefore publishes the canonical serial schedule — every item
+// attributed to worker 0 — keeping frozen-clock metric snapshots
+// byte-identical at any worker count, exactly as durations are canonicalized
+// to zero. Wall-clock runs publish the actuals.
 
 package par
 
@@ -35,104 +34,41 @@ import (
 // Options configures one Run beyond the worker count.
 type Options struct {
 	// Priority, when non-nil, returns the scheduling weight of item i:
-	// higher-weight items are dealt toward the front of the deques and so
-	// start earlier. Ties are broken by the lower index. Priority affects
-	// scheduling only — results, errors and all other observable outputs
-	// are identical for any weighting.
+	// higher-weight items are dispatched first, ties broken by the lower
+	// index. Priority affects scheduling only — results, errors and all
+	// other observable outputs are identical for any weighting.
 	Priority func(i int) int64
 
-	// Obs, when non-nil, receives the run's scheduler telemetry (steal
-	// count, per-worker executed items, live queue depth).
+	// Obs, when non-nil, receives the run's scheduler telemetry (per-worker
+	// executed items, live queue depth).
 	Obs *SchedObs
 }
 
-// Stats reports one Run's scheduling activity. Steals and the per-worker
-// execution split depend on timing (they describe which worker got to an
-// item first) and are therefore diagnostic: no determinism guarantee covers
-// them, unlike every value Run's callback computes.
+// Stats reports one Run's scheduling activity. The per-worker execution
+// split depends on timing (it describes which worker got to an item first)
+// and is therefore diagnostic: no determinism guarantee covers it, unlike
+// every value Run's callback computes.
 type Stats struct {
 	// Workers is the resolved worker count of the run.
 	Workers int
 	// Items is the number of scheduled items.
 	Items int
-	// Steals counts items a worker took from another worker's deque.
-	Steals uint64
 	// Executed[w] counts the items worker w ran, summing to Items.
 	Executed []uint64
 }
 
-// Add accumulates o into s for aggregation across runs; the worker count
-// and per-worker tallies widen to the larger run.
-func (s *Stats) Add(o Stats) {
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	s.Items += o.Items
-	s.Steals += o.Steals
-	if len(o.Executed) > len(s.Executed) {
-		grown := make([]uint64, len(o.Executed))
-		copy(grown, s.Executed)
-		s.Executed = grown
-	}
-	for w, n := range o.Executed {
-		s.Executed[w] += n
-	}
-}
-
-// deque is one worker's bounded queue of item indices in schedule order.
-// The owner pops from the head (highest priority first); thieves take from
-// the tail (lowest priority, minimizing interference with the owner). The
-// backing slice is sized exactly to the dealt share and never grows.
-type deque struct {
-	mu    sync.Mutex
-	items []int
-	head  int
-	tail  int // one past the last queued item
-}
-
-// pop removes the head item. ok is false when the deque is empty.
-func (d *deque) pop() (int, bool) {
-	d.mu.Lock()
-	if d.head >= d.tail {
-		d.mu.Unlock()
-		return 0, false
-	}
-	i := d.items[d.head]
-	d.head++
-	d.mu.Unlock()
-	return i, true
-}
-
-// peekTail reports the item a thief would steal, without taking it.
-func (d *deque) peekTail() (int, bool) {
-	d.mu.Lock()
-	if d.head >= d.tail {
-		d.mu.Unlock()
-		return 0, false
-	}
-	i := d.items[d.tail-1]
-	d.mu.Unlock()
-	return i, true
-}
-
-// stealTail takes the tail item iff it is still the expected one; a false
-// return means the deque changed since the peek and the thief must rescan.
-func (d *deque) stealTail(expect int) bool {
-	d.mu.Lock()
-	if d.head >= d.tail || d.items[d.tail-1] != expect {
-		d.mu.Unlock()
-		return false
-	}
-	d.tail--
-	d.mu.Unlock()
-	return true
+// failure is one worker's lowest failing index and its error.
+type failure struct {
+	idx int
+	err error
 }
 
 // Run executes f(worker, i) for every i in [0, n) on at most
-// Workers(workers) goroutines, scheduled by work stealing, and waits for all
-// of them. The worker argument is a stable identity in [0, workers): at most
-// one item runs under a given worker at a time, so callers may key
-// worker-local state (scratch arenas, write buffers) by it without locking.
+// Workers(workers) goroutines, dispatched in schedule order from one shared
+// cursor, and waits for all of them. The worker argument is a stable
+// identity in [0, workers): at most one item runs under a given worker at a
+// time, so callers may key worker-local state (scratch arenas, write
+// buffers) by it without locking. Worker 0 runs on the calling goroutine.
 //
 // Every index runs regardless of other indices' failures and the returned
 // error is the one from the lowest failing index, exactly as in ForEach.
@@ -148,71 +84,42 @@ func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, erro
 	st := Stats{Workers: w, Items: n, Executed: make([]uint64, w)}
 	order := scheduleOrder(n, opts.Priority)
 	opts.Obs.enqueue(n)
-	if w == 1 {
-		// Serial fast path: the schedule is the priority order itself.
-		var firstErr error
-		firstIdx := -1
-		for _, i := range order {
+
+	var next atomic.Int64
+	fails := make([]failure, w)
+	work := func(self int) {
+		fail := failure{idx: -1}
+		var executed uint64
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			i := order[k]
 			opts.Obs.dequeue()
-			if err := f(0, i); err != nil && (firstIdx == -1 || i < firstIdx) {
-				firstIdx, firstErr = i, err
+			executed++
+			if err := f(self, i); err != nil && (fail.idx == -1 || i < fail.idx) {
+				fail = failure{idx: i, err: err}
 			}
 		}
-		st.Executed[0] = uint64(n)
-		opts.Obs.publish(st)
-		return st, firstErr
+		st.Executed[self] = executed
+		fails[self] = fail
 	}
-
-	// Deal the schedule round-robin so every deque is a priority-descending
-	// subsequence: worker g owns order[g], order[g+w], ...
-	deques := make([]*deque, w)
-	backing := make([]int, n)
-	for g := 0; g < w; g++ {
-		share := (n - g + w - 1) / w
-		items := backing[:share:share]
-		backing = backing[share:]
-		for k := 0; k < share; k++ {
-			items[k] = order[g+k*w]
-		}
-		deques[g] = &deque{items: items, tail: share}
-	}
-
-	var steals atomic.Uint64
-	var mu sync.Mutex
-	firstIdx := -1
-	var firstErr error
 	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
 		go func(self int) {
 			defer wg.Done()
-			var executed uint64
-			for {
-				i, ok := deques[self].pop()
-				if !ok {
-					i, ok = stealLowest(deques, self)
-					if !ok {
-						break
-					}
-					steals.Add(1)
-				}
-				opts.Obs.dequeue()
-				executed++
-				if err := f(self, i); err != nil {
-					mu.Lock()
-					if firstIdx == -1 || i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-			st.Executed[self] = executed
+			work(self)
 		}(g)
 	}
+	work(0)
 	wg.Wait()
-	st.Steals = steals.Load()
+
+	first := failure{idx: -1}
+	for _, fail := range fails {
+		if fail.idx != -1 && (first.idx == -1 || fail.idx < first.idx) {
+			first = fail
+		}
+	}
 	opts.Obs.publish(st)
-	return st, firstErr
+	return st, first.err
 }
 
 // scheduleOrder returns the item indices in scheduling order: input order
@@ -237,37 +144,10 @@ func scheduleOrder(n int, pri func(i int) int64) []int {
 	return order
 }
 
-// stealLowest takes one item for a worker whose own deque ran dry: it scans
-// every victim's steal end and steals the lowest item index exposed there,
-// so the steal policy is a function of the queue state, not of victim-scan
-// luck. ok is false once every deque is empty (items still executing on
-// other workers are no longer stealable).
-func stealLowest(deques []*deque, self int) (int, bool) {
-	for {
-		best, victim := -1, -1
-		for v := range deques {
-			if v == self {
-				continue
-			}
-			if i, ok := deques[v].peekTail(); ok && (victim == -1 || i < best) {
-				best, victim = i, v
-			}
-		}
-		if victim == -1 {
-			return 0, false
-		}
-		if deques[victim].stealTail(best) {
-			return best, true
-		}
-		// Lost the race to the owner or another thief; rescan.
-	}
-}
-
 // Scheduler metric names.
 const (
-	schedStealsMetric = "steerq_par_steals_total"
-	schedItemsMetric  = "steerq_par_items_total"
-	schedDepthMetric  = "steerq_par_queue_depth"
+	schedItemsMetric = "steerq_par_items_total"
+	schedDepthMetric = "steerq_par_queue_depth"
 )
 
 // maxWorkerLabel bounds the per-worker label cardinality: workers beyond the
@@ -282,21 +162,20 @@ var workerLabels = [maxWorkerLabel + 1]string{
 	"8", "9", "10", "11", "12", "13", "14", "15", "16+",
 }
 
-// SchedObs publishes scheduler telemetry into an obs.Registry: a steal
-// counter, per-worker executed-item counters and a live queue-depth gauge
-// (items dealt but not yet started — nonzero only while a Run is in flight,
-// which makes it a debug-endpoint signal and a deterministic zero in
-// snapshots taken between runs).
+// SchedObs publishes scheduler telemetry into an obs.Registry: per-worker
+// executed-item counters and a live queue-depth gauge (items scheduled but
+// not yet started — nonzero only while a Run is in flight, which makes it a
+// debug-endpoint signal and a deterministic zero in snapshots taken between
+// runs).
 //
-// Which worker ran an item, and how many steals that took, are the only
-// schedule-dependent quantities in this package; under STEERQ_VCLOCK they
-// are canonicalized to the serial schedule (all items on worker "0", zero
-// steals) so frozen-clock snapshot goldens stay byte-identical at any
-// worker count. The Stats returned by Run always carry the actuals.
+// Which worker ran an item is the only schedule-dependent quantity in this
+// package; under STEERQ_VCLOCK it is canonicalized to the serial schedule
+// (all items on worker "0") so frozen-clock snapshot goldens stay
+// byte-identical at any worker count. The Stats returned by Run always carry
+// the actuals.
 type SchedObs struct {
 	reg    *obs.Registry
 	labels []string
-	steals *obs.Counter
 	queued atomic.Int64
 
 	mu      sync.Mutex
@@ -312,7 +191,6 @@ func NewSchedObs(reg *obs.Registry, labels ...string) *SchedObs {
 	s := &SchedObs{
 		reg:     reg,
 		labels:  labels,
-		steals:  reg.Counter(schedStealsMetric, labels...),
 		workers: make(map[int]*obs.Counter),
 	}
 	reg.GaugeFunc(schedDepthMetric, func() float64 {
@@ -367,7 +245,6 @@ func (s *SchedObs) publish(st Stats) {
 		s.workerCounter(0).Add(uint64(st.Items))
 		return
 	}
-	s.steals.Add(st.Steals)
 	for w, n := range st.Executed {
 		if n > 0 {
 			s.workerCounter(w).Add(n)

@@ -1,7 +1,6 @@
 package par_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -22,7 +21,7 @@ func TestRunZeroItems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: err = %v", n, err)
 		}
-		if st.Items != 0 || st.Steals != 0 || len(st.Executed) != 0 {
+		if st.Items != 0 || len(st.Executed) != 0 {
 			t.Fatalf("n=%d: stats = %+v, want zero value", n, st)
 		}
 	}
@@ -158,10 +157,9 @@ func TestRunPriorityDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunStealsOccur forces the steal path: worker 0 stalls on its first item
-// while the others finish their deques, so the stalled worker's remaining
-// items must be stolen and the run must still complete every index.
-func TestRunStealsOccur(t *testing.T) {
+// TestRunStalledItemDoesNotBlockOthers: one worker stalls on item 0 while
+// the others run every remaining item; the run must complete all n.
+func TestRunStalledItemDoesNotBlockOthers(t *testing.T) {
 	const workers, n = 4, 64
 	release := make(chan struct{})
 	var ran atomic.Int32
@@ -169,7 +167,7 @@ func TestRunStealsOccur(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st, err := par.Run(workers, n, par.Options{}, func(worker, i int) error {
+		_, err := par.Run(workers, n, par.Options{}, func(worker, i int) error {
 			if i == 0 {
 				stallOnce.Do(func() { <-release })
 			}
@@ -179,11 +177,8 @@ func TestRunStealsOccur(t *testing.T) {
 		if err != nil {
 			t.Errorf("err = %v", err)
 		}
-		if st.Steals == 0 {
-			t.Errorf("steals = 0, want >0: a stalled worker's deque must be raided")
-		}
 	}()
-	// The other workers drain everything stealable; index 0 is still running.
+	// The other workers finish everything else; index 0 is still running.
 	for ran.Load() < n-1 {
 		runtime.Gosched()
 	}
@@ -194,47 +189,57 @@ func TestRunStealsOccur(t *testing.T) {
 	}
 }
 
-// TestRunCancelMidSteal cancels the context from an item while other workers
-// are deep in the steal loop; unstarted indices must record ctx.Err(), the
-// lowest-index failure must win, and the run must terminate.
-func TestRunCancelMidSteal(t *testing.T) {
-	const n = 200
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int32
-	err := par.ForEachCtx(ctx, 8, n, func(c context.Context, i int) error {
-		if ran.Add(1) == 10 {
-			cancel()
+// TestRunDispatchFollowsPriorityOrder pins the dispatch order at two
+// workers: while the worker holding the top-priority item is blocked, the
+// other worker runs every remaining item in exactly the schedule order
+// (descending priority, ties by index) — not a per-worker share of it.
+func TestRunDispatchFollowsPriorityOrder(t *testing.T) {
+	pri := []int64{3, 9, 3, 1, 9, 5, 7, 3, 2, 8, 5, 0}
+	want := []int{1, 4, 9, 6, 5, 10, 0, 2, 7, 8, 3, 11}
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var seq []int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := par.Run(2, len(pri), par.Options{
+			Priority: func(i int) int64 { return pri[i] },
+		}, func(_, i int) error {
+			if i == want[0] {
+				<-release
+				return nil
+			}
+			mu.Lock()
+			seq = append(seq, i)
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Errorf("err = %v", err)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled from a skipped index", err)
+	}()
+	for {
+		mu.Lock()
+		got := len(seq)
+		mu.Unlock()
+		if got == len(want)-1 {
+			break
+		}
+		runtime.Gosched()
 	}
-	if got := ran.Load(); got == 0 || got > n {
-		t.Fatalf("%d items ran", got)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	var s par.Stats
-	s.Add(par.Stats{Workers: 2, Items: 10, Steals: 3, Executed: []uint64{6, 4}})
-	s.Add(par.Stats{Workers: 4, Items: 8, Steals: 1, Executed: []uint64{2, 2, 2, 2}})
-	want := par.Stats{Workers: 4, Items: 18, Steals: 4, Executed: []uint64{8, 6, 2, 2}}
-	if s.Workers != want.Workers || s.Items != want.Items || s.Steals != want.Steals {
-		t.Fatalf("stats = %+v, want %+v", s, want)
-	}
-	for w := range want.Executed {
-		if s.Executed[w] != want.Executed[w] {
-			t.Fatalf("executed = %v, want %v", s.Executed, want.Executed)
+	close(release)
+	<-done
+	for k, i := range want[1:] {
+		if seq[k] != i {
+			t.Fatalf("dispatch order behind the blocked item = %v, want %v", seq, want[1:])
 		}
 	}
 }
 
 // TestSchedObsCanonicalUnderVClock: with the deterministic clock set, the
-// published schedule is the canonical serial one — all items on worker "0",
-// zero steals — no matter how many workers actually ran, so frozen-clock
-// metric snapshots cannot depend on scheduling.
+// published schedule is the canonical serial one — all items on worker "0" —
+// no matter how many workers actually ran, so frozen-clock metric snapshots
+// cannot depend on scheduling.
 func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	reg := obs.NewWithClock(obs.FrozenClock())
@@ -247,26 +252,20 @@ func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	var items, steals uint64
+	var items uint64
 	workerSeen := map[string]bool{}
 	for _, c := range snap.Counters {
-		switch c.Name {
-		case "steerq_par_items_total":
+		if c.Name == "steerq_par_items_total" {
 			items += c.Value
 			for _, l := range c.Labels {
 				if l.Key == "worker" {
 					workerSeen[l.Value] = true
 				}
 			}
-		case "steerq_par_steals_total":
-			steals += c.Value
 		}
 	}
 	if items != 100 {
 		t.Fatalf("canonical items = %v, want 100", items)
-	}
-	if steals != 0 {
-		t.Fatalf("canonical steals = %v, want 0", steals)
 	}
 	if len(workerSeen) != 1 || !workerSeen["0"] {
 		t.Fatalf("worker labels = %v, want only \"0\" under %s", workerSeen, obs.VClockEnv)
@@ -278,8 +277,8 @@ func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 	}
 }
 
-// TestSchedObsActualsWithoutVClock: on the wall clock the per-worker split
-// and steal count are published as measured (summing to the item count).
+// TestSchedObsActualsWithoutVClock: on the wall clock the per-worker split is
+// published as measured (summing to the item count).
 func TestSchedObsActualsWithoutVClock(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "")
 	reg := obs.NewWithClock(obs.FrozenClock())

@@ -59,10 +59,9 @@ func obsAnalyze(t *testing.T, workers int) (snapJSON, snapText string) {
 // sharded histogram and span recording are data-race free.
 //
 // STEERQ_VCLOCK is set the way the deterministic CI run sets it: the
-// scheduler's per-worker attribution and steal counts are the one
-// schedule-dependent corner of the registry, and the virtual clock is the
-// switch that canonicalizes them (like it zeroes span durations), so the
-// frozen-clock goldens cover them too.
+// scheduler's per-worker attribution is the one schedule-dependent corner of
+// the registry, and the virtual clock is the switch that canonicalizes it
+// (like it zeroes span durations), so the frozen-clock goldens cover it too.
 func TestObsSnapshotWorkerDeterminism(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	baseJSON, baseText := obsAnalyze(t, 1)

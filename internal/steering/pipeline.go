@@ -59,20 +59,19 @@ type Analysis struct {
 	// through footprint projection.
 	Footprint FootprintStats
 
-	// Sched summarizes the candidate stage's scheduling. Steals are
-	// diagnostic — which worker reached an item first is timing-dependent —
-	// and are deliberately excluded from the determinism contract; every
-	// other field is a function of the candidate sequence and so identical at
-	// any worker count.
+	// Sched summarizes the candidate stage's scheduling. Every field is a
+	// function of the candidate sequence and the worker count, never of
+	// timing.
 	Sched SchedStats
 }
 
-// SchedStats aggregates work-stealing scheduler activity over the candidate
-// stage (and, through Add, over whole workloads in steerq-bench).
+// SchedStats aggregates scheduler activity over the candidate stage (and,
+// through Add, over whole workloads in steerq-bench).
 type SchedStats struct {
 	// Items counts compiles dispatched through the scheduler.
 	Items int
-	// Steals counts cross-worker steals (diagnostic; see Analysis.Sched).
+	// Steals is always 0: par.Run dispatches from one shared cursor and
+	// never steals. The field stays only for readers that still report it.
 	Steals uint64
 	// Merges counts serial merge phases (one per candidate stage).
 	Merges int
@@ -83,7 +82,6 @@ type SchedStats struct {
 // Add accumulates o into s (for workload-level reporting).
 func (s *SchedStats) Add(o SchedStats) {
 	s.Items += o.Items
-	s.Steals += o.Steals
 	s.Merges += o.Merges
 	if o.MaxWorkers > s.MaxWorkers {
 		s.MaxWorkers = o.MaxWorkers
@@ -300,7 +298,7 @@ type missSlot struct {
 
 // resolveCandidates resolves every candidate configuration to a compile
 // outcome in three phases: one serial sweep probes the compile cache for
-// each candidate, one work-stealing fan-out compiles the misses into
+// each candidate, one par.Run fan-out compiles the misses into
 // per-candidate slots, and one serial merge applies every outcome in
 // ascending candidate index and writes the cache through a single PutBatch.
 // The cache's footprint projection is the only cross-candidate sharing: a
@@ -351,7 +349,6 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 		return nil
 	})
 	a.Sched.Items += st.Items
-	a.Sched.Steals += st.Steals
 	if st.Workers > a.Sched.MaxWorkers {
 		a.Sched.MaxWorkers = st.Workers
 	}
